@@ -22,9 +22,10 @@ rows) for the sequence kernels and training cases, the per-utterance
 eager path for the engine forward, the float numpy backend for the int8
 ops (the numpy int8 path for the int8 sparse-vs-compiled rows), and the
 offline batched path for the streaming throughput rows.  On hosts with a
-working C compiler the ``compiled`` backend joins every sparse and int8
-case; the autotune suite additionally records the tile ranking under the
-host-calibrated cost model (``tile_model_calibrated``).
+working C compiler the ``compiled`` backend joins the CSR and int8 cases
+(its float BSPC and recurrent ops alias numpy, so timing them would only
+re-time numpy); the autotune suite additionally records the tile ranking
+under the host-calibrated cost model (``tile_model_calibrated``).
 The tail-latency rows are each their own baseline: raw milliseconds are
 machine-dependent, so the latency gate is the machine-independent
 p95/p50 *ratio* carried in ``speedup_vs_baseline``, not absolute time.
@@ -73,10 +74,13 @@ from repro.speech.synth import SynthConfig, make_corpus  # noqa: E402
 from repro.speech.trainer import Trainer, TrainerConfig  # noqa: E402
 from repro.utils.rng import new_rng  # noqa: E402
 
-# The compiled C backend joins every sparse/int8 case when this host has
-# a working compiler; without one the suites simply record the two
-# always-available backends (the registry never lists "compiled" then).
-SPARSE_BACKENDS = ["reference", "numpy"] + (
+# The compiled C backend joins the cases it runs native C for when this
+# host has a working compiler; without one the suites simply record the
+# two always-available backends (the registry never lists "compiled"
+# then).  Float BSPC and the recurrent kernels alias numpy under
+# "compiled", so they always record just BASE_BACKENDS.
+BASE_BACKENDS = ["reference", "numpy"]
+SPARSE_BACKENDS = BASE_BACKENDS + (
     ["compiled"] if compiled_backend.available() else []
 )
 
@@ -138,20 +142,20 @@ def bench_sparse(repeats: int) -> List[Dict]:
     batch = new_rng(2).standard_normal((size, 16))
 
     cases = [
-        ("bspc_spmv", f"{size}x{size} grid={strips}x{blocks}",
+        ("bspc_spmv", f"{size}x{size} grid={strips}x{blocks}", BASE_BACKENDS,
          lambda b: (lambda: bspc.spmv(x, backend=b))),
-        ("bspc_spmm", f"{size}x{size}x16 grid={strips}x{blocks}",
+        ("bspc_spmm", f"{size}x{size}x16 grid={strips}x{blocks}", BASE_BACKENDS,
          lambda b: (lambda: bspc.spmm(batch, backend=b))),
-        ("csr_spmv", f"{size}x{size}",
+        ("csr_spmv", f"{size}x{size}", SPARSE_BACKENDS,
          lambda b: (lambda: csr.spmv(x, backend=b))),
-        ("csr_spmm", f"{size}x{size}x16",
+        ("csr_spmm", f"{size}x{size}x16", SPARSE_BACKENDS,
          lambda b: (lambda: csr.spmm(batch, backend=b))),
     ]
     rows = []
-    for op, label, make in cases:
-        medians = {b: median_seconds(make(b), repeats) for b in SPARSE_BACKENDS}
+    for op, label, backends, make in cases:
+        medians = {b: median_seconds(make(b), repeats) for b in backends}
         baseline = medians["reference"]
-        for backend in SPARSE_BACKENDS:
+        for backend in backends:
             rows.append({
                 "op": op,
                 "size": label,
@@ -214,7 +218,7 @@ def bench_recurrent(repeats: int) -> List[Dict]:
 
         medians = {"tensor_tape": median_seconds(tape_run, repeats)}
         model.eval()
-        for backend in SPARSE_BACKENDS:
+        for backend in BASE_BACKENDS:
             def run(b=backend):
                 with kernels.use_backend(b):
                     return model(x)

@@ -14,11 +14,11 @@ from repro.engine.fabric.fabric import (
     ServingFabric,
     WorkerStats,
 )
-from repro.engine.fabric.faults import CRASH_EXIT_CODE, FaultConfig, FaultInjector
 from repro.engine.fabric.journal import SessionJournal
 from repro.engine.fabric.router import HashRing
 from repro.engine.fabric.supervisor import Supervisor
 from repro.engine.fabric.worker import WorkerFailure, WorkerHandle
+from repro.utils.faults import CRASH_EXIT_CODE, FaultConfig, FaultInjector
 
 __all__ = [
     "ServingFabric",

@@ -48,12 +48,12 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.engine.fabric.canary import CanaryConfig, CanaryReport, CanaryState
-from repro.engine.fabric.faults import FaultConfig
 from repro.engine.fabric.journal import SessionJournal
 from repro.engine.fabric.router import HashRing
 from repro.engine.fabric.supervisor import Supervisor
 from repro.engine.fabric.worker import WorkerFailure
 from repro.engine.streaming import StreamConfig
+from repro.utils.faults import FaultConfig
 from repro.utils.stats import percentile
 from repro.errors import (
     ConfigError,

@@ -43,9 +43,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.fabric.faults import FaultConfig, FaultInjector
 from repro.engine.streaming import StreamConfig, StreamScheduler
 from repro.errors import FabricError
+from repro.utils.faults import FaultConfig, FaultInjector
 
 
 @dataclass

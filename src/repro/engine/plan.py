@@ -23,8 +23,10 @@ registry backend its kernels dispatch to.
 Numerics by scheme:
 
 * ``scheme=None`` (packing only) — float64 throughout, and **bit-exact**
-  with the eval-mode ``model.forward`` fused-kernel path: the plan
-  replays the same numpy ops in the same order.
+  with the eval-mode ``model.forward`` fused-kernel path: the layer plans
+  run the numpy backend's own time loops
+  (:func:`~repro.kernels.numpy_backend.gru_recurrence` /
+  :func:`~repro.kernels.numpy_backend.lstm_recurrence`).
 * ``scheme="fp16"`` — weights and biases are rounded through IEEE half
   precision and stored as float16 arrays; compute runs in float32 (half
   the memory traffic of the float64 path, and what "16-bit storage,
@@ -76,7 +78,7 @@ from repro.compiler.ir import (
 from repro.compiler.passes import run_passes, slot_grid
 from repro.compiler.pipeline import build_layer_graph, rnn_graph_from_weights
 from repro.errors import ConfigError, ShapeError
-from repro.kernels._math import sigmoid as _sigmoid
+from repro.kernels.numpy_backend import gru_recurrence, lstm_recurrence
 from repro.kernels.quantized import int8_bspc_plan, int8_codes, int8_csr_plan
 from repro.nn.quantize import quantize_fp16
 from repro.sparse.blocks import BlockGrid
@@ -85,6 +87,9 @@ from repro.sparse.csr import CSRMatrix
 
 SCHEMES = (None, "fp16", "int8", "mixed")
 SPARSE_FORMATS = (None, "auto", "csr", "bspc")
+
+#: Stored bytes per weight value under each compute scheme.
+_VALUE_BYTES = {None: 8, "fp16": 2, "int8": 1}
 
 
 def _slot_scheme(slot: WeightSlot, graph_scheme: Optional[str]) -> Optional[str]:
@@ -102,12 +107,6 @@ def _fp16_pack(weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """fp16 storage array + contiguous float32 transpose for compute."""
     storage = np.clip(weight, -65504.0, 65504.0).astype(np.float16)
     return storage, np.ascontiguousarray(storage.astype(np.float32).T)
-
-
-def _int8_pack(weight: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
-    """int8 codes + scale + the pre-cast float32 copy ``linear_int8`` wants."""
-    codes, scale = int8_codes(weight)
-    return codes, scale, codes.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -188,26 +187,34 @@ class _DenseWeight:
             self.weight = weight.copy()
         elif scheme == "fp16":
             self.storage, self.weight_t = _fp16_pack(weight)
-        else:  # int8
-            self.codes, self.scale, self.codes_f = _int8_pack(weight)
+        else:  # int8 codes + the pre-cast float32 copy ``linear_int8`` wants
+            self.codes, self.scale = int8_codes(weight)
+            self.codes_f = self.codes.astype(np.float32)
 
-    def project(self, x2d: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
-        """``x2d (N, K) → (N, M)`` in the scheme's compute dtype."""
-        if self.scheme is None:
-            out = ws.take(key, (x2d.shape[0], self.shape[0]))
-            return np.matmul(x2d, self.weight.T, out=out)
-        if self.scheme == "fp16":
-            out = ws.take(key, (x2d.shape[0], self.shape[0]), np.float32)
-            return np.matmul(x2d, self.weight_t, out=out)
-        return kernels.linear_int8_rowwise(self.codes_f, self.scale, x2d)
+    def project(
+        self, x2d: np.ndarray, ws: Optional[_Workspace] = None, key: str = ""
+    ) -> np.ndarray:
+        """``x2d (N, K) → (N, M)`` in the scheme's compute dtype, into a
+        ``ws`` work buffer or, without one, a fresh array."""
+        if self.scheme == "int8":
+            return kernels.linear_int8_rowwise(self.codes_f, self.scale, x2d)
+        fp16 = self.scheme == "fp16"
+        out = None
+        if ws is not None:
+            dtype = np.float32 if fp16 else np.float64
+            out = ws.take(key, (x2d.shape[0], self.shape[0]), dtype)
+        return np.matmul(x2d, self.weight_t if fp16 else self.weight.T, out=out)
 
     def nbytes(self) -> int:
-        count = int(np.prod(self.shape))
-        return count * {None: 8, "fp16": 2, "int8": 1}[self.scheme]
+        return int(np.prod(self.shape)) * _VALUE_BYTES[self.scheme]
 
 
 class _SparseWeight:
-    """A weight packed as CSR/BSPC with its kernel plans built eagerly."""
+    """A weight packed as CSR/BSPC with its kernel plans built eagerly.
+
+    Serves both as an input-side projection (:meth:`project`) and as a
+    recurrent weight (:meth:`step`).
+    """
 
     def __init__(
         self,
@@ -251,9 +258,17 @@ class _SparseWeight:
             return out.astype(np.float32)
         return out
 
+    def step(self, state: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
+        """One recurrent step's ``state @ W.T`` in the state's dtype (the
+        sparse kernels are float64-only)."""
+        return self.project(
+            state.astype(np.float64, copy=False), ws, key
+        ).astype(state.dtype, copy=False)
+
     def nbytes(self) -> int:
-        value_bytes = {None: 8, "fp16": 2, "int8": 1}[self.scheme]
-        return self.matrix.nbytes(value_bytes=value_bytes, index_bytes=4)
+        return self.matrix.nbytes(
+            value_bytes=_VALUE_BYTES[self.scheme], index_bytes=4
+        )
 
 
 def _pack_weight(slot, scheme):
@@ -291,10 +306,11 @@ def _round_bias(bias: np.ndarray, scheme: Optional[str], dtype) -> np.ndarray:
 class GRULayerPlan:
     """One GRU layer frozen for batched inference.
 
-    ``forward`` replays the numpy ``gru_sequence`` kernel's math; for the
-    packing-only scheme it is op-for-op identical (bit-exact), with the
-    recurrent ``w_hh.T`` contiguation hoisted from per-call to compile
-    time.
+    ``forward`` hoists the input projection and runs the numpy backend's
+    :func:`~repro.kernels.numpy_backend.gru_recurrence` with the packed
+    recurrent weight's ``step``; for the packing-only scheme that is
+    op-for-op the ``gru_sequence`` kernel (bit-exact), with the recurrent
+    ``w_hh.T`` contiguation hoisted from per-call to compile time.
     """
 
     def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
@@ -355,21 +371,17 @@ class GRULayerPlan:
         gates_x = gates_x.reshape(seq_len, batch, 3 * h)
         if not self.fold_bias:
             gates_x[:, :, : 2 * h] += self.bias_hh_zr
-        gx_zr = gates_x[:, :, : 2 * h]
-        gx_h = gates_x[:, :, 2 * h :]
         out = ws.take(f"out{index}", (seq_len, batch, h), self.dtype)
         hidden = self.zero_state(batch)[0] if state is None else state[0]
-        gh_key = f"gh{index}"
-        for t in range(seq_len):
-            gh = self.recurrent.step(hidden, ws, gh_key)
-            zr = _sigmoid(gx_zr[t] + gh[:, : 2 * h])
-            z = zr[:, :h]
-            r = zr[:, h:]
-            h_tilde = np.tanh(gx_h[t] + r * (gh[:, 2 * h :] + self.bias_hh_h))
-            hidden = (1.0 - z) * hidden + z * h_tilde
-            out[t] = hidden
-        if seq_len == 0:
-            hidden = hidden.copy()  # never alias the caller's carry state
+        step, gh_key = self.recurrent.step, f"gh{index}"
+        hidden = gru_recurrence(
+            gates_x[:, :, : 2 * h],
+            gates_x[:, :, 2 * h :],
+            self.bias_hh_h,
+            hidden,
+            lambda carry: step(carry, ws, gh_key),
+            out,
+        )
         return out, (hidden,)
 
     def nbytes(self) -> int:
@@ -379,7 +391,9 @@ class GRULayerPlan:
 
 
 class LSTMLayerPlan:
-    """One LSTM layer frozen for batched inference (gate order i,f,g,o)."""
+    """One LSTM layer frozen for batched inference (gate order i,f,g,o);
+    ``forward`` runs :func:`~repro.kernels.numpy_backend.lstm_recurrence`
+    as :class:`GRULayerPlan` runs the GRU loop."""
 
     def __init__(self, node: GraphNode, scheme: Optional[str]) -> None:
         ih_slot, hh_slot = node.weights["ih"], node.weights["hh"]
@@ -427,19 +441,10 @@ class LSTMLayerPlan:
         gates_x = (gates_x + self.bias).reshape(seq_len, batch, 4 * h)
         out = ws.take(f"out{index}", (seq_len, batch, h), self.dtype)
         hidden, cell = self.zero_state(batch) if state is None else state
-        gh_key = f"gh{index}"
-        for t in range(seq_len):
-            gates = gates_x[t] + self.recurrent.step(hidden, ws, gh_key)
-            input_forget = _sigmoid(gates[:, : 2 * h])
-            i = input_forget[:, :h]
-            f = input_forget[:, h:]
-            g = np.tanh(gates[:, 2 * h : 3 * h])
-            o = _sigmoid(gates[:, 3 * h :])
-            cell = f * cell + i * g
-            hidden = o * np.tanh(cell)
-            out[t] = hidden
-        if seq_len == 0:
-            hidden, cell = hidden.copy(), cell.copy()
+        step, gh_key = self.recurrent.step, f"gh{index}"
+        hidden, cell = lstm_recurrence(
+            gates_x, hidden, cell, lambda carry: step(carry, ws, gh_key), out
+        )
         return out, (hidden, cell)
 
     def nbytes(self) -> int:
@@ -475,84 +480,43 @@ class _DenseRecurrent:
         return np.matmul(state, self.weight_t, out=out)
 
     def nbytes(self) -> int:
-        count = int(np.prod(self.shape))
-        return count * {None: 8, "fp16": 2, "int8": 1}[self.scheme]
-
-
-class _SparseRecurrent:
-    """Recurrent weight packed sparse; each step is one spmm call."""
-
-    def __init__(self, packed: _SparseWeight) -> None:
-        self.packed = packed
-
-    def step(self, state: np.ndarray, ws: _Workspace, key: str) -> np.ndarray:
-        return self.packed.project(
-            state.astype(np.float64, copy=False), ws, key
-        ).astype(state.dtype, copy=False)
-
-    def nbytes(self) -> int:
-        return self.packed.nbytes()
+        return int(np.prod(self.shape)) * _VALUE_BYTES[self.scheme]
 
 
 def _pack_recurrent(slot, scheme):
-    """Pack a recurrent weight slot as its pass-decided format."""
+    """Pack a recurrent weight slot as its pass-decided format (sparse
+    formats share :func:`_pack_weight`'s packing)."""
     if slot.format in (None, "dense"):
         return _DenseRecurrent(slot.array, scheme)
-    return _SparseRecurrent(
-        _SparseWeight(
-            slot.array,
-            slot.format,
-            scheme,
-            grid=slot_grid(slot),
-            prebuilt=slot.prebuilt,
-            tile=slot.tile,
-        )
-    )
+    return _pack_weight(slot, scheme)
 
 
 class OutputPlan:
-    """The final linear projection over phone classes."""
+    """The final linear projection over phone classes: a dense packed
+    weight plus its scheme-rounded bias."""
 
     def __init__(
         self, weight: np.ndarray, bias: Optional[np.ndarray], scheme: Optional[str]
     ) -> None:
         self.scheme = scheme
         self.num_classes = weight.shape[0]
-        if scheme is None:
-            self.weight = weight.copy()
-        elif scheme == "fp16":
-            self.storage, self.weight_t = _fp16_pack(weight)
-        else:
-            self.codes, self.scale, self.codes_f = _int8_pack(weight)
+        self.weight = _DenseWeight(weight, scheme)
         dtype = np.float32 if scheme == "fp16" else np.float64
         self.bias = None if bias is None else _round_bias(bias, scheme, dtype)
 
     def project(self, hidden: np.ndarray) -> np.ndarray:
         """Hidden states ``(T, B, H)`` → logits ``(T, B, C)`` (fresh array)."""
         seq_len, batch, h = hidden.shape
-        flat = hidden.reshape(seq_len * batch, h)
-        if self.scheme is None:
-            logits = flat @ self.weight.T
-        elif self.scheme == "fp16":
-            logits = flat @ self.weight_t
-        else:
-            logits = kernels.linear_int8_rowwise(
-                self.codes_f, self.scale, flat.astype(np.float64, copy=False)
-            )
+        logits = self.weight.project(hidden.reshape(seq_len * batch, h))
         if self.bias is not None:
             logits = logits + self.bias
         return logits.reshape(seq_len, batch, self.num_classes)
 
     def nbytes(self) -> int:
-        value_bytes = {None: 8, "fp16": 2, "int8": 1}[self.scheme]
-        weight_count = self.num_classes * (
-            self.weight.shape[1] if self.scheme is None
-            else (self.storage.shape[1] if self.scheme == "fp16" else self.codes.shape[1])
-        )
         bias_bytes = 0 if self.bias is None else self.num_classes * (
             2 if self.scheme else 8
         )
-        return weight_count * value_bytes + bias_bytes
+        return self.weight.nbytes() + bias_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,25 @@
 """Compiled C backend: generated kernels built with the system compiler.
 
 This is the paper's deployment story applied to the host: the hot loops
-(CSR/BSPC spmv/spmm in float and int8, the dense int8 projections, and
-the fused GRU/LSTM sequence forward) are emitted as specialized C,
+that beat numpy — CSR spmv/spmm in float and int8, BSPC spmv/spmm in
+int8, and the dense int8 projections — are emitted as specialized C,
 compiled once with ``cc -O3 -march=native -shared -fPIC``, and bound via
 ``ctypes`` with zero-copy views of the very same packed plan arrays the
 numpy backend executes (:mod:`repro.kernels.plans` /
 :mod:`repro.kernels.quantized`).  No third-party toolchain is needed —
 just a C compiler — so the backend registers itself only when one is
 actually present.
+
+Every other op is registered under ``"compiled"`` as an alias of its
+numpy implementation, so the backend dispatches every registered op:
+
+* float BSPC ``bspc_spmv``/``bspc_spmm`` — C kernels ran at 0.66x/0.63x
+  of numpy's gather → batched panel GEMM → scatter (``BENCH_kernels.json``);
+* ``gru_sequence``/``lstm_sequence`` — fused C recurrences ran at
+  0.63x/0.46x (GRU, H=64/256) and 0.48x (LSTM) of numpy, whose per-step
+  recurrent GEMM is BLAS;
+* the BPTT ops ``gru_sequence_grad``/``lstm_sequence_grad`` — training
+  wants whole-sequence BLAS GEMMs, not scalar loops.
 
 Build artifacts are cached twice: an in-process handle (one ``CDLL`` per
 process) and an on-disk ``.so`` keyed by a SHA-256 content hash of the C
@@ -42,14 +53,8 @@ Exactness contract (asserted by ``tests/test_kernels_equivalence.py``):
   operation for operation (one fused ``scale * xs`` multiply for the
   per-call-scale ops, two sequential multiplies for the
   per-column/per-row ops).
-* float kernels match to reduction-order tolerance (blocked C FMA sums
-  vs. numpy's pairwise/BLAS reductions).
-
-The fused BPTT ops (``gru_sequence_grad`` / ``lstm_sequence_grad``)
-stay on the numpy implementations — training wants whole-sequence BLAS
-GEMMs, not scalar loops — but they are registered under ``"compiled"``
-too so the full suite (and any plan pinned to this backend) dispatches
-every op without falling through the registry.
+* float CSR kernels match to reduction-order tolerance (C sums vs.
+  numpy's ``reduceat``).
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ import numpy as np
 
 from repro.errors import CompileBackendError
 from repro.kernels import numpy_backend as _np_backend
-from repro.kernels.plans import bspc_plan, csr_plan
 from repro.kernels.quantized import (
     F32_EXACT_INNER,
     int8_bspc_plan,
@@ -115,8 +119,6 @@ typedef int64_t i64;
 typedef int32_t i32;
 typedef int8_t  i8;
 typedef uint8_t u8;
-
-static double sigmoid(double v) { return 1.0 / (1.0 + exp(-v)); }
 
 /* ------------------------------------------------------------------ CSR */
 
@@ -247,89 +249,6 @@ API void repro_linear_i8_rowwise(
         }
     }
 }
-
-/* ------------------------------------------- fused recurrent forward */
-/* The input-side projection (one whole-sequence GEMM) is hoisted in the
- * Python wrapper — identically to the numpy backend, so chunk splits
- * see the same values — and only the sequential recurrence runs here.
- * Every sample's step is computed independently of the rest of the
- * batch (fixed reduction order over the hidden dim), which keeps the
- * streaming scheduler's cross-session batch fusion chunk-exact. */
-
-API void repro_gru_sequence(
-    i64 T, i64 B, i64 H, const double *gates_x, const double *w_hh_t,
-    const double *b_hh_h, double *h, double *out, double *gh)
-{
-    const i64 G = 3 * H;
-    for (i64 t = 0; t < T; t++) {
-        memset(gh, 0, (size_t)(B * G) * sizeof(double));
-        for (i64 b = 0; b < B; b++) {
-            double *ghb = gh + b * G;
-            const double *hb = h + b * H;
-            for (i64 i = 0; i < H; i++) {
-                const double a = hb[i];
-                const double *wr = w_hh_t + i * G;
-                for (i64 g = 0; g < G; g++)
-                    ghb[g] += a * wr[g];
-            }
-        }
-        const double *gx = gates_x + t * B * G;
-        double *ot = out + t * B * H;
-        for (i64 b = 0; b < B; b++) {
-            const double *gxb = gx + b * G;
-            const double *ghb = gh + b * G;
-            double *hb = h + b * H;
-            for (i64 j = 0; j < H; j++) {
-                const double z = sigmoid(gxb[j] + ghb[j]);
-                const double r = sigmoid(gxb[H + j] + ghb[H + j]);
-                const double ht =
-                    tanh(gxb[2 * H + j] + r * (ghb[2 * H + j] + b_hh_h[j]));
-                const double hn = (1.0 - z) * hb[j] + z * ht;
-                hb[j] = hn;
-                ot[b * H + j] = hn;
-            }
-        }
-    }
-}
-
-API void repro_lstm_sequence(
-    i64 T, i64 B, i64 H, const double *gates_x, const double *w_hh_t,
-    double *h, double *c, double *out, double *gh)
-{
-    const i64 G = 4 * H;
-    for (i64 t = 0; t < T; t++) {
-        memset(gh, 0, (size_t)(B * G) * sizeof(double));
-        for (i64 b = 0; b < B; b++) {
-            double *ghb = gh + b * G;
-            const double *hb = h + b * H;
-            for (i64 i = 0; i < H; i++) {
-                const double a = hb[i];
-                const double *wr = w_hh_t + i * G;
-                for (i64 g = 0; g < G; g++)
-                    ghb[g] += a * wr[g];
-            }
-        }
-        const double *gx = gates_x + t * B * G;
-        double *ot = out + t * B * H;
-        for (i64 b = 0; b < B; b++) {
-            const double *gxb = gx + b * G;
-            const double *ghb = gh + b * G;
-            double *hb = h + b * H;
-            double *cb = c + b * H;
-            for (i64 j = 0; j < H; j++) {
-                const double ig = sigmoid(gxb[j] + ghb[j]);
-                const double fg = sigmoid(gxb[H + j] + ghb[H + j]);
-                const double gg = tanh(gxb[2 * H + j] + ghb[2 * H + j]);
-                const double og = sigmoid(gxb[3 * H + j] + ghb[3 * H + j]);
-                const double cn = fg * cb[j] + ig * gg;
-                const double hn = og * tanh(cn);
-                cb[j] = cn;
-                hb[j] = hn;
-                ot[b * H + j] = hn;
-            }
-        }
-    }
-}
 """
 
 # Per-type BSPC template, stamped once with ($S, $T) = ("f32", "float")
@@ -438,42 +357,6 @@ static void bspc_packqv_$S(
         if (v < -127.0) v = -127.0;
         xp[k] = ($T)v;
     }
-}
-
-/* Pack one strip's gathered activation columns (lanes jb..jb+nb of the
- * (n, ldx) activation matrix) into the contiguous (mc, 16) tile. */
-static void bspc_pack_$S(
-    i64 mc, i64 nb, i64 ldx, i64 jb, const i64 *gc, const u8 *pc,
-    const $T *xq, $T *restrict xp)
-{
-    if (!pc && nb == $W) {  /* full-width fast path: straight copies */
-        for (i64 k = 0; k < mc; k++) {
-            const $T *xr = xq + gc[k] * ldx + jb;
-            $T *restrict pr = xp + k * $W;
-            for (int j = 0; j < $W; j++)
-                pr[j] = xr[j];
-        }
-        return;
-    }
-    for (i64 k = 0; k < mc; k++) {
-        $T *restrict pr = xp + k * $W;
-        if (pc && pc[k]) {
-            for (int j = 0; j < $W; j++) pr[j] = 0;
-            continue;
-        }
-        const $T *xr = xq + gc[k] * ldx + jb;
-        int j = 0;
-        for (; j < nb; j++) pr[j] = xr[j];
-        for (; j < $W; j++) pr[j] = 0;
-    }
-}
-
-/* Vector variant of the pack for spmv (one lane). */
-static void bspc_packv_$S(
-    i64 mc, const i64 *gc, const u8 *pc, const $T *xq, $T *restrict xp)
-{
-    for (i64 k = 0; k < mc; k++)
-        xp[k] = (pc && pc[k]) ? 0 : xq[gc[k]];
 }
 
 /* 4-row x 16-lane FMA microkernel over one strip's packed tile; the
@@ -620,43 +503,6 @@ API void repro_bspc_spmm_i8_$S(
 }
 """
 
-# Float BSPC kernels: the f64 pack/tile cores above over the raw panel
-# weights (no quantization, no dequant) — padded columns zero in the pack
-# exactly like the numpy backend zeroes the gathered activations, and the
-# sink row (index `rows`) absorbs padded-row scatter for the caller to
-# drop.  The output buffer doubles as the accumulator.
-_C_BSPC_FLOAT = r"""
-API void repro_bspc_spmv(
-    i64 strips, i64 mr, i64 mc, i64 rows, const double *panels,
-    const i64 *gcols, const u8 *padc, const i64 *srows, const double *x,
-    double *xp, double *out)
-{
-    memset(out, 0, (size_t)(rows + 1) * sizeof(double));
-    for (i64 s = 0; s < strips; s++) {
-        bspc_packv_f64(mc, gcols + s * mc, padc ? padc + s * mc : 0, x, xp);
-        bspc_dotcol_f64(mr, mc, panels + s * mr * mc, srows + s * mr, xp, out);
-    }
-}
-
-API void repro_bspc_spmm(
-    i64 strips, i64 mr, i64 mc, i64 rows, i64 batch, const double *panels,
-    const i64 *gcols, const u8 *padc, const i64 *srows, const double *x,
-    double *xp, double *out)
-{
-    memset(out, 0, (size_t)((rows + 1) * batch) * sizeof(double));
-    for (i64 jb = 0; jb < batch; jb += 16) {
-        const i64 nb = batch - jb < 16 ? batch - jb : 16;
-        for (i64 s = 0; s < strips; s++) {
-            bspc_pack_f64(mc, nb, batch, jb, gcols + s * mc,
-                          padc ? padc + s * mc : 0, x, xp);
-            bspc_tile_f64(mr, mc, nb, batch, jb, panels + s * mr * mc,
-                          srows + s * mr, xp, out);
-        }
-    }
-}
-"""
-
-
 def _stamp(
     template: str, suffix: str, ctype: str, width: int, acc: str = "double"
 ) -> str:
@@ -680,7 +526,6 @@ _C_SOURCE = (
     + _stamp(_C_BSPC_TEMPLATE, "f32", "float", 16, acc="float")
     + _stamp(_C_BSPC_TEMPLATE, "f32w", "float", 16, acc="double")
     + _stamp(_C_BSPC_TEMPLATE, "f64", "double", 16, acc="double")
-    + _C_BSPC_FLOAT
 )
 
 
@@ -803,16 +648,8 @@ def _declare(lib: ctypes.CDLL) -> None:
         "repro_csr_spmm": (i64, i64, ptr, ptr, ptr, ptr, ptr),
         "repro_csr_spmv_i8": (i64, ptr, ptr, ptr, ptr, dbl, ptr),
         "repro_csr_spmm_i8": (i64, i64, ptr, ptr, ptr, ptr, ptr, dbl, ptr, ptr, ptr),
-        "repro_bspc_spmv": (
-            i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-        ),
-        "repro_bspc_spmm": (
-            i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-        ),
         "repro_linear_i8": (i64, i64, i64, ptr, ptr, dbl, ptr),
         "repro_linear_i8_rowwise": (i64, i64, i64, ptr, ptr, dbl, ptr, ptr),
-        "repro_gru_sequence": (i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr),
-        "repro_lstm_sequence": (i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr),
     }
     for suffix in ("f32", "f32w", "f64"):
         signatures[f"repro_bspc_spmv_i8_{suffix}"] = (
@@ -987,43 +824,6 @@ def csr_spmm_int8(matrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pad_ptr(plan) -> Optional[int]:
-    return plan.pad_cols.ctypes.data if plan.pad_cols is not None else None
-
-
-def bspc_spmv(matrix, x: np.ndarray) -> np.ndarray:
-    plan = bspc_plan(matrix)
-    rows = plan.shape[0]
-    out = np.zeros(rows + 1)
-    if plan.panels.size:
-        x = _f64(x)
-        strips, mr, mc = plan.panels.shape
-        xp = _scratch("bspc_xp_f64", mc)
-        _library().repro_bspc_spmv(
-            strips, mr, mc, rows,
-            _p(plan.panels), _p(plan.gather_cols), _pad_ptr(plan),
-            _p(plan.scatter_rows), _p(x), _p(xp), _p(out),
-        )
-    return out[:rows]
-
-
-def bspc_spmm(matrix, x: np.ndarray) -> np.ndarray:
-    plan = bspc_plan(matrix)
-    rows = plan.shape[0]
-    batch = x.shape[1]
-    out = np.zeros((rows + 1, batch))
-    if plan.panels.size and batch:
-        x = _f64(x)
-        strips, mr, mc = plan.panels.shape
-        xp = _scratch("bspc_xp_f64", mc * 16)
-        _library().repro_bspc_spmm(
-            strips, mr, mc, rows, batch,
-            _p(plan.panels), _p(plan.gather_cols), _pad_ptr(plan),
-            _p(plan.scatter_rows), _p(x), _p(xp), _p(out),
-        )
-    return out[:rows]
-
-
 def _int8_bspc_fn(lib, op: str, ft: np.dtype, strips: int, mc: int):
     """Pick the kernel stamp and accumulator dtype for an int8 BSPC plan.
 
@@ -1118,82 +918,22 @@ def linear_int8_rowwise(
     return out
 
 
-def gru_sequence(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    b_ih: np.ndarray,
-    b_hh: np.ndarray,
-    h0: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    seq_len, batch, _ = x.shape
-    hidden = h0.shape[1]
-    # Hoisted input projection + bias folding: identical numpy expressions
-    # to the numpy backend, so both backends feed the recurrence the same
-    # gate pre-activations bit for bit.
-    gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + b_ih).reshape(
-        seq_len, batch, 3 * hidden
-    )
-    gates_x[:, :, : 2 * hidden] += b_hh[: 2 * hidden]
-    gates_x = _f64(gates_x)
-    b_hh_h = _f64(b_hh[2 * hidden :])
-    w_hh_t = _f64(np.asarray(w_hh, dtype=np.float64).T)
-    h = _f64(h0).copy()
-    out = np.empty((seq_len, batch, hidden))
-    if seq_len and batch:
-        gh = np.empty((batch, 3 * hidden))
-        _library().repro_gru_sequence(
-            seq_len, batch, hidden,
-            _p(gates_x), _p(w_hh_t), _p(b_hh_h), _p(h), _p(out), _p(gh),
-        )
-    return out, h
-
-
-def lstm_sequence(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    seq_len, batch, _ = x.shape
-    hidden = h0.shape[1]
-    gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + bias).reshape(
-        seq_len, batch, 4 * hidden
-    )
-    gates_x = _f64(gates_x)
-    w_hh_t = _f64(np.asarray(w_hh, dtype=np.float64).T)
-    h = _f64(h0).copy()
-    c = _f64(c0).copy()
-    out = np.empty((seq_len, batch, hidden))
-    if seq_len and batch:
-        gh = np.empty((batch, 4 * hidden))
-        _library().repro_lstm_sequence(
-            seq_len, batch, hidden,
-            _p(gates_x), _p(w_hh_t), _p(h), _p(c), _p(out), _p(gh),
-        )
-    return out, h, c
-
-
-#: op name → compiled implementation.  The BPTT grad ops alias the numpy
-#: implementations (see the module docstring) so every registered op
-#: dispatches under this backend.
+#: op name → compiled implementation.  The float BSPC, recurrent and
+#: BPTT ops alias the numpy implementations (see the module docstring) so
+#: every registered op dispatches under this backend.
 _KERNELS = {
     "csr_spmv": csr_spmv,
     "csr_spmm": csr_spmm,
     "csr_spmv_int8": csr_spmv_int8,
     "csr_spmm_int8": csr_spmm_int8,
-    "bspc_spmv": bspc_spmv,
-    "bspc_spmm": bspc_spmm,
+    "bspc_spmv": _np_backend.bspc_spmv,
+    "bspc_spmm": _np_backend.bspc_spmm,
     "bspc_spmv_int8": bspc_spmv_int8,
     "bspc_spmm_int8": bspc_spmm_int8,
     "linear_int8": linear_int8,
     "linear_int8_rowwise": linear_int8_rowwise,
-    "gru_sequence": gru_sequence,
-    "lstm_sequence": lstm_sequence,
+    "gru_sequence": _np_backend.gru_sequence,
+    "lstm_sequence": _np_backend.lstm_sequence,
     "gru_sequence_grad": _np_backend.gru_sequence_grad,
     "lstm_sequence_grad": _np_backend.lstm_sequence_grad,
 }

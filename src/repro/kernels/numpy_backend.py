@@ -5,12 +5,16 @@ all per-block/per-row Python iteration happens once at plan-build time,
 after which ``spmv``/``spmm`` are a gather, one batched GEMM (BSPC) or a
 ``reduceat`` (CSR), and a scatter.  The recurrent kernels hoist the
 input-side projection out of the time loop and run the recurrence on raw
-ndarrays with a preallocated output buffer.
+ndarrays with a preallocated output buffer.  Their forward time loops,
+:func:`gru_recurrence` and :func:`lstm_recurrence`, take the recurrent
+projection as a callable, so the engine's layer plans
+(:mod:`repro.engine.plan`) run the very same loops over their packed
+weights.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -96,6 +100,44 @@ def bspc_spmm(matrix, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Recurrent sequence kernels
 # ---------------------------------------------------------------------------
+def gru_recurrence(
+    gx_zr: np.ndarray,
+    gx_h: np.ndarray,
+    b_hh_h: np.ndarray,
+    h: np.ndarray,
+    step: Callable[[np.ndarray], np.ndarray],
+    out: np.ndarray,
+) -> np.ndarray:
+    """The GRU time loop over hoisted gate pre-activations.
+
+    ``gx_zr`` ``(T, B, 2H)`` holds the update/reset input projections with
+    both constant biases folded in, ``gx_h`` ``(T, B, H)`` the candidate's
+    input projection, and ``step(h)`` returns the recurrent projection
+    ``(B, 3H)`` of the previous state.  Each step writes into ``out[t]``;
+    the final state is returned and never aliases ``h`` (a zero-length
+    sequence returns a copy).
+
+    This is the one GRU recurrence of the float execution paths: the
+    numpy :func:`gru_sequence` kernel drives it with a dense ``h @ W_hh.T``
+    and the engine's layer plans with their packed recurrent weight, so
+    both run the same ops in the same order.  The two gates share one
+    sigmoid over the ``2H`` block — the per-step cost at small ``H`` is
+    dominated by numpy call overhead, so fewer, wider ops matter more
+    than saved FLOPs."""
+    hidden = h.shape[1]
+    for t in range(len(gx_zr)):
+        gh = step(h)
+        zr = _sigmoid(gx_zr[t] + gh[:, : 2 * hidden])
+        z = zr[:, :hidden]
+        r = zr[:, hidden:]
+        h_tilde = np.tanh(gx_h[t] + r * (gh[:, 2 * hidden :] + b_hh_h))
+        h = (1.0 - z) * h + z * h_tilde
+        out[t] = h
+    if not len(gx_zr):
+        h = h.copy()
+    return h
+
+
 @registry.register("gru_sequence", "numpy")
 def gru_sequence(
     x: np.ndarray,
@@ -106,34 +148,28 @@ def gru_sequence(
     h0: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused GRU layer: the whole sequence's input projection is one
-    ``(T·B, D) @ (D, 3H)`` GEMM; the time loop carries only the recurrence
-    and writes each step into a preallocated output buffer.
+    ``(T·B, D) @ (D, 3H)`` GEMM; :func:`gru_recurrence` carries only the
+    recurrence into a preallocated output buffer.
 
     Both constant biases of the update/reset gates are folded into the
     hoisted projection (``z``/``r`` see ``gx + gh + b_ih + b_hh`` either
-    way), and the two gates share one sigmoid over the ``2H`` block — the
-    per-step cost at small ``H`` is dominated by numpy call overhead, so
-    fewer, wider ops matter more than saved FLOPs."""
+    way)."""
     seq_len, batch, _ = x.shape
     hidden = h0.shape[1]
     gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + b_ih).reshape(
         seq_len, batch, 3 * hidden
     )
     gates_x[:, :, : 2 * hidden] += b_hh[: 2 * hidden]
-    gx_zr = gates_x[:, :, : 2 * hidden]
-    gx_h = gates_x[:, :, 2 * hidden :]
-    b_hh_h = b_hh[2 * hidden :]
     w_hh_t = np.ascontiguousarray(w_hh.T)
     out = np.empty((seq_len, batch, hidden))
-    h = h0
-    for t in range(seq_len):
-        gh = h @ w_hh_t
-        zr = _sigmoid(gx_zr[t] + gh[:, : 2 * hidden])
-        z = zr[:, :hidden]
-        r = zr[:, hidden:]
-        h_tilde = np.tanh(gx_h[t] + r * (gh[:, 2 * hidden :] + b_hh_h))
-        h = (1.0 - z) * h + z * h_tilde
-        out[t] = h
+    h = gru_recurrence(
+        gates_x[:, :, : 2 * hidden],
+        gates_x[:, :, 2 * hidden :],
+        b_hh[2 * hidden :],
+        h0,
+        lambda state: state @ w_hh_t,
+        out,
+    )
     return out, h
 
 
@@ -419,26 +455,21 @@ def lstm_sequence_grad(
     return hs[1:], hs[seq_len], cs[seq_len], backward
 
 
-@registry.register("lstm_sequence", "numpy")
-def lstm_sequence(
-    x: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused LSTM layer: input projection + bias hoisted out of the loop."""
-    seq_len, batch, _ = x.shape
-    hidden = h0.shape[1]
-    gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + bias).reshape(
-        seq_len, batch, 4 * hidden
-    )
-    w_hh_t = np.ascontiguousarray(w_hh.T)
-    out = np.empty((seq_len, batch, hidden))
-    h, c = h0, c0
-    for t in range(seq_len):
-        gates = gates_x[t] + h @ w_hh_t
+def lstm_recurrence(
+    gates_x: np.ndarray,
+    h: np.ndarray,
+    c: np.ndarray,
+    step: Callable[[np.ndarray], np.ndarray],
+    out: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The LSTM time loop (gate order i,f,g,o) over hoisted, bias-folded
+    gate pre-activations ``(T, B, 4H)``; ``step(h)`` returns the
+    recurrent projection ``(B, 4H)``.  Shared by :func:`lstm_sequence`
+    and the engine's layer plans exactly as :func:`gru_recurrence` is;
+    the returned ``(h, c)`` never alias the inputs."""
+    hidden = h.shape[1]
+    for t in range(len(gates_x)):
+        gates = gates_x[t] + step(h)
         # input/forget gates are adjacent in the layout: one shared sigmoid.
         input_forget = _sigmoid(gates[:, : 2 * hidden])
         i = input_forget[:, :hidden]
@@ -448,4 +479,28 @@ def lstm_sequence(
         c = f * c + i * g
         h = o * np.tanh(c)
         out[t] = h
+    if not len(gates_x):
+        h, c = h.copy(), c.copy()
+    return h, c
+
+
+@registry.register("lstm_sequence", "numpy")
+def lstm_sequence(
+    x: np.ndarray,
+    w_ih: np.ndarray,
+    w_hh: np.ndarray,
+    bias: np.ndarray,
+    h0: np.ndarray,
+    c0: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fused LSTM layer: input projection + bias hoisted out of
+    :func:`lstm_recurrence`."""
+    seq_len, batch, _ = x.shape
+    hidden = h0.shape[1]
+    gates_x = (x.reshape(seq_len * batch, -1) @ w_ih.T + bias).reshape(
+        seq_len, batch, 4 * hidden
+    )
+    w_hh_t = np.ascontiguousarray(w_hh.T)
+    out = np.empty((seq_len, batch, hidden))
+    h, c = lstm_recurrence(gates_x, h0, c0, lambda state: state @ w_hh_t, out)
     return out, h, c

@@ -26,9 +26,6 @@ default, to the worker's *first* incarnation — a crash-faulted worker
 restarts clean, so recovery can be asserted.  ``repeat=True`` keeps the
 fault across restarts, which is how restart-budget/permanent-death
 paths are driven.
-
-Historically this lived in :mod:`repro.engine.fabric.faults`; that
-module remains as a re-export alias so fabric callers are unchanged.
 """
 
 from __future__ import annotations

@@ -124,14 +124,6 @@ class TestStats:
 
 
 class TestFaultsAlias:
-    def test_fabric_module_reexports_shared_faults(self):
-        from repro.engine.fabric import faults as fabric_faults
-        from repro.utils import faults as shared
-
-        assert fabric_faults.FaultConfig is shared.FaultConfig
-        assert fabric_faults.FaultInjector is shared.FaultInjector
-        assert fabric_faults.CRASH_EXIT_CODE == shared.CRASH_EXIT_CODE
-
     def test_on_step_is_on_chunk(self):
         from repro.utils.faults import FaultInjector
 

@@ -18,7 +18,7 @@ import pytest
 from repro import engine, kernels
 from repro.errors import CompileBackendError, ConfigError
 from repro.kernels import compiled
-from repro.kernels.registry import KernelRegistry
+from repro.kernels.registry import KernelRegistry, registry
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 
 requires_compiler = pytest.mark.skipif(
@@ -124,6 +124,8 @@ class TestDegradation:
         target = KernelRegistry()
         assert compiled.register_compiled_backend(target) is True
         assert "compiled" in target.backends()
+        # every op the library registers dispatches under "compiled"
+        assert target.ops() == registry.ops()
 
     def test_artifact_tuned_for_missing_backend_warns_and_falls_back(
         self, rng, monkeypatch

@@ -53,7 +53,7 @@ def prune_model(model, col_rate=4, row_rate=2, strips=4, blocks=4):
 
 class TestPackingOnlyEquivalence:
     # The packing-only guarantee is defined against the *fused-kernel*
-    # (numpy backend) eval path — the plan replays exactly those ops —
+    # (numpy backend) eval path — the plan runs that same recurrence —
     # so the eager side pins that backend: under a reference-backend
     # test run the eager op order differs at float epsilon.
     def test_gru_bit_exact(self, rng):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.pruning.projections import (
+    _project_bank_balanced_loop,
     project_bank_balanced,
     project_block_columns,
     project_columns,
@@ -171,6 +172,33 @@ def test_property_projection_idempotent(rows, cols, rate, seed):
     mask2 = project_unstructured(projected, rate)
     np.testing.assert_array_equal(
         mask2.apply_to_array(projected), projected
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 10),
+    cols=st.integers(1, 20),
+    bank_size=st.integers(1, 20),
+    rate=st.floats(1.0, 8.0),
+    integer_valued=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+def test_property_bank_balanced_matches_loop(
+    rows, cols, bank_size, rate, integer_valued, seed
+):
+    """The batched top-k equals the per-bank/per-row loop mask exactly,
+    including how it breaks ties between equal magnitudes (integer
+    weights from a small range make ties common)."""
+    bank_size = min(bank_size, cols)
+    rng = np.random.default_rng(seed)
+    if integer_valued:
+        w = rng.integers(-3, 4, size=(rows, cols)).astype(np.float64)
+    else:
+        w = rng.standard_normal((rows, cols))
+    np.testing.assert_array_equal(
+        project_bank_balanced(w, bank_size, rate).keep,
+        _project_bank_balanced_loop(w, bank_size, rate).keep,
     )
 
 

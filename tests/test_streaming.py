@@ -135,8 +135,9 @@ class TestRunChunkAPI:
     def make_plan(self, **kwargs):
         return engine.compile_model(tiny_model(**kwargs))
 
-    def test_zero_length_chunk_passes_state_through(self, rng):
-        plan = self.make_plan()
+    @pytest.mark.parametrize("cell_type", ["gru", "lstm"])
+    def test_zero_length_chunk_passes_state_through(self, rng, cell_type):
+        plan = self.make_plan(cell_type=cell_type)
         _, state = plan.run_chunk(rng.standard_normal((5, 2, 8)))
         logits, state2 = plan.run_chunk(np.zeros((0, 2, 8)), state)
         assert logits.shape == (0, 2, plan.output.num_classes)
