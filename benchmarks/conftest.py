@@ -1,8 +1,15 @@
 """Shared fixtures for the benchmark suite.
 
 Every table/figure of the paper has one ``bench_*`` module.  Benchmarks
-print their reproduction table (measured vs. paper) to stdout — run with
-``pytest benchmarks/ --benchmark-only -s`` to see the tables inline.
+print their reproduction table (measured vs. paper) to stdout.  The
+files are named ``bench_*.py``, which pytest's default ``test_*.py``
+pattern does not collect, so name them on the command line::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py --benchmark-disable -q
+
+The first times each benchmark and prints the tables inline; the second
+(the CI gate) runs every benchmark body once, shape assertions included.
 """
 
 from __future__ import annotations

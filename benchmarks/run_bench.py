@@ -6,9 +6,10 @@ forward vs per-utterance eager, int8 vs float sparse ops), the training
 suite (fused BPTT vs autograd tape: epoch time, BPTT step time, ADMM
 prune→retrain epoch, ADMM projection), and the streaming-serving suite
 (chunked stateful sessions through the deadline-batching scheduler vs
-offline batched serving, plus per-chunk latency percentiles) with a
-plain ``time.perf_counter`` harness and writes machine-readable records
-so future PRs have a perf trajectory to regress against::
+offline batched serving, plus per-chunk latency percentiles, as
+measured by ``repro.eval.stream_bench``) with the shared
+``repro.utils.timing`` helpers and writes machine-readable records so
+future PRs have a perf trajectory to regress against::
 
     PYTHONPATH=src python benchmarks/run_bench.py
     PYTHONPATH=src python benchmarks/run_bench.py --repeats 50
@@ -44,10 +45,9 @@ import argparse
 import json
 import platform
 import sys
-import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:
@@ -73,6 +73,7 @@ from repro.speech.phones import NUM_CLASSES  # noqa: E402
 from repro.speech.synth import SynthConfig, make_corpus  # noqa: E402
 from repro.speech.trainer import Trainer, TrainerConfig  # noqa: E402
 from repro.utils.rng import new_rng  # noqa: E402
+from repro.utils.timing import interleaved_medians, timed_median  # noqa: E402
 
 # The compiled C backend joins the cases it runs native C for when this
 # host has a working compiler; without one the suites simply record the
@@ -89,37 +90,6 @@ SPARSE_BACKENDS = BASE_BACKENDS + (
 INT8_SPARSE_BACKENDS = ["numpy"] + (
     ["compiled"] if compiled_backend.available() else []
 )
-
-
-def median_seconds(fn: Callable[[], object], repeats: int) -> float:
-    fn()  # warm up (also builds/caches any execution plan)
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
-
-
-def interleaved_medians(
-    fns: Dict[str, Callable[[], object]], repeats: int
-) -> Dict[str, float]:
-    """Median runtime per case, sampled round-robin.
-
-    Slow cases (the tape-training baselines) run for seconds; measuring
-    each case's repeats back-to-back would let machine-speed drift across
-    the run bias one side of a speedup ratio.  Alternating the cases puts
-    every sample pair under the same conditions.
-    """
-    for fn in fns.values():
-        fn()  # warm up
-    samples: Dict[str, List[float]] = {name: [] for name in fns}
-    for _ in range(repeats):
-        for name, fn in fns.items():
-            start = time.perf_counter()
-            fn()
-            samples[name].append(time.perf_counter() - start)
-    return {name: float(np.median(s)) for name, s in samples.items()}
 
 
 def pruned_matrix(size: int = 1024, strips: int = 8, blocks: int = 8) -> np.ndarray:
@@ -153,7 +123,7 @@ def bench_sparse(repeats: int) -> List[Dict]:
     ]
     rows = []
     for op, label, backends, make in cases:
-        medians = {b: median_seconds(make(b), repeats) for b in backends}
+        medians = {b: timed_median(make(b), repeats)[0] for b in backends}
         baseline = medians["reference"]
         for backend in backends:
             rows.append({
@@ -179,7 +149,7 @@ def bench_sparse(repeats: int) -> List[Dict]:
     ]
     for op, label, make in int8_cases:
         medians = {
-            b: median_seconds(make(b), repeats) for b in INT8_SPARSE_BACKENDS
+            b: timed_median(make(b), repeats)[0] for b in INT8_SPARSE_BACKENDS
         }
         baseline = medians["numpy"]
         for backend in INT8_SPARSE_BACKENDS:
@@ -216,14 +186,14 @@ def bench_recurrent(repeats: int) -> List[Dict]:
             with kernels.use_backend("reference"):
                 return model(x)
 
-        medians = {"tensor_tape": median_seconds(tape_run, repeats)}
+        medians = {"tensor_tape": timed_median(tape_run, repeats)[0]}
         model.eval()
         for backend in BASE_BACKENDS:
             def run(b=backend):
                 with kernels.use_backend(b):
                     return model(x)
 
-            medians[backend] = median_seconds(run, repeats)
+            medians[backend] = timed_median(run, repeats)[0]
         baseline = medians["tensor_tape"]
         for backend, median in medians.items():
             rows.append({
@@ -269,10 +239,10 @@ def bench_int8(repeats: int) -> List[Dict]:
         x = new_rng(1).standard_normal(size)
         label = f"{size}x{size} d=0.10"
         medians = {
-            "numpy_float64": median_seconds(lambda: csr.spmv(x), repeats),
-            "numpy_int8": median_seconds(
+            "numpy_float64": timed_median(lambda: csr.spmv(x), repeats)[0],
+            "numpy_int8": timed_median(
                 lambda: kernels.spmv_int8(csr, x), repeats
-            ),
+            )[0],
         }
         baseline = medians["numpy_float64"]
         for backend, median in medians.items():
@@ -302,14 +272,16 @@ def bench_engine_forward(repeats: int) -> List[Dict]:
     def eager():
         return [model(Tensor(u[:, None, :])) for u in utterances]
 
-    medians = {"eager_per_utterance": median_seconds(eager, repeats)}
+    medians = {"eager_per_utterance": timed_median(eager, repeats)[0]}
     plans = {
         "engine_packed": engine.compile_model(model),
         "engine_fp16": engine.compile_model(model, scheme="fp16"),
         "engine_int8": engine.compile_model(model, scheme="int8"),
     }
     for name, plan in plans.items():
-        medians[name] = median_seconds(lambda p=plan: p.forward_batch(batched), repeats)
+        medians[name] = timed_median(
+            lambda p=plan: p.forward_batch(batched), repeats
+        )[0]
     baseline = medians["eager_per_utterance"]
     return [
         {
@@ -332,57 +304,51 @@ def bench_engine(repeats: int) -> List[Dict]:
 def bench_streaming(repeats: int) -> List[Dict]:
     """The BENCH_serving.json suite: streamed vs offline serving.
 
-    Eight concurrent sessions feed 25-frame chunks round-robin through a
-    :class:`~repro.engine.streaming.StreamScheduler`; the offline
-    baseline decodes the same utterances whole through ``serve_stream``.
-    Reported: the full-workload wall-clock ratio (what chunk-granular
-    state carry costs or buys) and the per-chunk p50/p95 submit→decode
-    latencies, gated by the machine-independent p95/p50 tail ratio.
+    One :func:`~repro.eval.stream_bench.run_stream_bench` call measures
+    every row: eight concurrent sessions feed 25-frame chunks
+    round-robin through a single-process scheduler and through a
+    supervised two-worker fabric, plain and with an injected crash; the
+    offline baseline decodes the same utterances whole through
+    ``serve_stream``.  Reported: the full-workload wall-clock ratios
+    (what chunk-granular state carry costs or buys) and the per-chunk
+    p50/p95 submit→decode latencies, gated by the machine-independent
+    p95/p50 tail ratio.
     """
-    from repro.eval.stream_bench import (
-        StreamBenchConfig,
-        _fabric_pass,
-        _stream_pass,
-        build_stream_workload,
-    )
+    from repro.eval.stream_bench import StreamBenchConfig, run_stream_bench
 
-    config = StreamBenchConfig(repeats=1)
-    plan, features, serving = build_stream_workload(config)
-    total_frames = sum(len(utterance) for utterance in features)
+    config = StreamBenchConfig(repeats=repeats, workers=2, chaos=True)
+    result = run_stream_bench(config)
+    by_path = {row.path: row for row in result.rows}
+    offline = by_path["offline batched"]
+    streamed = by_path[f"streaming chunk={config.chunk_frames}"]
+    fabric = by_path[f"fabric workers={config.workers}"]
+    chaos = by_path[f"fabric workers={config.workers} +chaos"]
     size = (
         f"S={config.num_sessions} chunk={config.chunk_frames} "
-        f"{total_frames}f H={config.hidden_size} L=2"
+        f"{result.total_frames}f H={config.hidden_size} L={config.num_layers}"
     )
 
-    all_stats: List = []
-
-    def offline():
-        return engine.serve_stream(plan, features, serving)
-
-    def streaming():
-        hypotheses, stats = _stream_pass(plan, features, config)
-        all_stats.append(stats)
-        return hypotheses
-
-    medians = interleaved_medians(
-        {"offline_batched": offline, "streaming_chunked": streaming}, repeats
-    )
-    baseline = medians["offline_batched"]
-    rows = [
-        {
+    def decode_row(backend, row):
+        return {
             "op": "stream_decode",
             "size": size,
             "backend": backend,
-            "median_s": median,
-            "speedup_vs_baseline": baseline / median,
+            "median_s": row.wall_s,
+            "speedup_vs_baseline": row.speedup,
             "baseline": "offline_batched",
-            "sessions_per_s": config.num_sessions / median,
+            "sessions_per_s": row.sessions_per_s,
         }
-        for backend, median in medians.items()
-    ]
-    p50 = float(np.median([stats.p50_latency_s for stats in all_stats]))
-    p95 = float(np.median([stats.p95_latency_s for stats in all_stats]))
-    rows += [
+
+    p50 = streamed.p50_latency_ms / 1e3
+    p95 = streamed.p95_latency_ms / 1e3
+    # The recovery row is a correctness gate dressed as a bench row:
+    # speedup_vs_baseline is 1.0 only when every chaos run recovered
+    # (restarts observed, all decodes byte-identical to offline), so any
+    # recovery failure collapses the tracked ratio and fails --check.
+    recovered = chaos.decode_match == 1.0 and chaos.restarts >= 1
+    return [
+        decode_row("offline_batched", offline),
+        decode_row("streaming_chunked", streamed),
         {
             "op": "stream_chunk_latency",
             "size": size,
@@ -403,72 +369,18 @@ def bench_streaming(repeats: int) -> List[Dict]:
             "speedup_vs_baseline": p50 / p95 if p95 else 1.0,
             "baseline": "p95",
         },
-    ]
-
-    # Multi-worker fabric rows: the same workload served through a
-    # supervised two-worker fabric, plain and with an injected crash.
-    import tempfile
-    from pathlib import Path as _Path
-
-    from repro.engine.artifact import save_plan
-
-    offline_hyps, _ = engine.serve_stream(plan, features, serving)
-    fabric_config = StreamBenchConfig(repeats=1, workers=2)
-    chaos_config = StreamBenchConfig(repeats=1, workers=2, chaos=True)
-    fleet_rollups: List = []
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-fabric-") as tmp:
-        artifact = _Path(tmp) / "model.plan.npz"
-        save_plan(artifact, plan)
-
-        def fabric():
-            hypotheses, _ = _fabric_pass(artifact, features, fabric_config)
-            return hypotheses
-
-        def chaos():
-            hypotheses, fleet = _fabric_pass(artifact, features, chaos_config)
-            fleet_rollups.append((hypotheses, fleet))
-            return hypotheses
-
-        fabric_medians = interleaved_medians(
-            {"fabric_workers2": fabric, "fabric_chaos": chaos}, repeats
-        )
-
-    rows.append(
-        {
-            "op": "stream_decode",
-            "size": size,
-            "backend": "fabric_workers2",
-            "median_s": fabric_medians["fabric_workers2"],
-            "speedup_vs_baseline": baseline / fabric_medians["fabric_workers2"],
-            "baseline": "offline_batched",
-            "sessions_per_s": config.num_sessions
-            / fabric_medians["fabric_workers2"],
-        }
-    )
-    # The recovery row is a correctness gate dressed as a bench row:
-    # speedup_vs_baseline is 1.0 only when every chaos repeat recovered
-    # (restarts observed, all decodes byte-identical to offline), so any
-    # recovery failure collapses the tracked ratio and fails --check.
-    recovered = all(
-        fleet.restarts >= 1 and hypotheses == offline_hyps
-        for hypotheses, fleet in fleet_rollups
-    )
-    rows.append(
+        decode_row("fabric_workers2", fabric),
         {
             "op": "fabric_recovery",
             "size": size,
             "backend": "chaos_workers2",
-            "median_s": fabric_medians["fabric_chaos"],
+            "median_s": chaos.wall_s,
             "speedup_vs_baseline": 1.0 if recovered else 1e-9,
             "baseline": "chaos_workers2",
-            "restarts": max(fleet.restarts for _, fleet in fleet_rollups),
-            "sessions_rehomed": max(
-                fleet.sessions_rehomed for _, fleet in fleet_rollups
-            ),
-        }
-    )
-    return rows
+            "restarts": chaos.restarts,
+            "sessions_rehomed": chaos.sessions_rehomed,
+        },
+    ]
 
 
 def bench_autotune(repeats: int) -> List[Dict]:

@@ -23,9 +23,8 @@ Two tiers:
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from repro.compiler.pipeline import compile_for_simulation
 from repro.errors import CompilationError, ConfigError
 from repro.hw.device import DeviceSpec
 from repro.pruning.bsp import BSPConfig, bsp_project_masks
+from repro.utils.timing import timed_median
 
 
 @dataclass(frozen=True)
@@ -231,16 +231,6 @@ class PlanTuningResult:
         return len(self.trace)
 
 
-def _median_seconds(fn: Callable[[], object], repeats: int) -> float:
-    fn()  # warm up: builds kernel plans, grows work buffers
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
-
-
 def _simulated_slot_us(slot: WeightSlot, fmt: str, device: DeviceSpec) -> float:
     """Analytic one-step cost of running ``slot`` in format ``fmt``."""
     from repro.hw.executor import simulate_layer
@@ -355,7 +345,7 @@ def tune_plan(
         )
 
     def measure(plan) -> float:
-        return _median_seconds(lambda: plan.forward_batch(sample_batch), repeats)
+        return timed_median(lambda: plan.forward_batch(sample_batch), repeats)[0]
 
     def compile_pinned(scheme, backend, pins: Dict[str, str], tile=None):
         graph = build_layer_graph(
@@ -550,9 +540,9 @@ def compare_tile_rankings(
             slot.tile = tile
         run_passes(graph)
         plan = lower_graph(graph, config)
-        measured_s[rb] = _median_seconds(
+        measured_s[rb] = timed_median(
             lambda: plan.forward_batch(sample_batch), repeats
-        )
+        )[0]
 
     sim_pick = min(row_blocks, key=lambda rb: simulated_us[rb])
     measured_pick = min(row_blocks, key=lambda rb: measured_s[rb])
@@ -715,9 +705,9 @@ def collect_cost_samples(
             slot.tile = tile
         run_passes(graph)
         plan = lower_graph(graph, config)
-        measured_s = _median_seconds(
+        measured_s = timed_median(
             lambda: plan.forward_batch(sample_batch), repeats
-        )
+        )[0]
         samples.append(
             CostSample(
                 label=f"rb{rb}",

@@ -13,14 +13,19 @@ and reports what chunking costs and buys: wall clock and sessions/sec,
 the per-chunk p50/p95 submit→decode latency, the scheduler's mean fused
 batch size, and the fraction of sessions whose streamed hypothesis
 matches the offline decode exactly (the chunk-exactness guarantee says
-all of them).
+all of them).  The timed paths are sampled round-robin
+(:func:`~repro.utils.timing.interleaved_medians`), so the speedup
+ratios stay free of machine-speed drift.  :func:`run_stream_bench` is
+the one serving-harness API: the ``stream-bench`` CLI renders its rows
+and ``benchmarks/run_bench.py`` records them as ``BENCH_serving.json``.
 
 With ``workers >= 1`` the harness adds a third path: the same stream
 served through a multi-process :class:`~repro.engine.fabric.ServingFabric`
 (each worker loads the compiled artifact and runs its own scheduler).
-``chaos=True`` arms a deterministic crash fault on worker 0 mid-run, so
-the fabric row measures serving *through* a kill + restart + journal
-replay — and its ``decode_match`` asserts recovery was byte-exact.
+``chaos=True`` adds a second fabric row beside it, with a deterministic
+crash fault armed on worker 0 mid-run, so that row measures serving
+*through* a kill + restart + journal replay — and its ``decode_match``
+asserts recovery was byte-exact.
 
 ``canary=True`` adds two deployment-correctness rows on top: the
 incumbent and a candidate plan are published into a throwaway
@@ -38,8 +43,13 @@ pre-/post-swap versions either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import tempfile
+import time
+from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Any, Dict, List, Optional
+
+import numpy as np
 
 from repro.engine import (
     ServingConfig,
@@ -48,11 +58,13 @@ from repro.engine import (
     compile_model,
     serve_stream,
 )
+from repro.engine.artifact import save_plan
 from repro.errors import ConfigError
 from repro.eval.report import fmt, format_table
 from repro.speech.model import AcousticModelConfig, GRUAcousticModel
 from repro.speech.synth import SynthConfig, make_dataset
-from repro.utils.timing import timed_median
+from repro.utils.faults import FaultConfig
+from repro.utils.timing import interleaved_medians
 
 #: Synthetic utterances long enough to span several chunks (the default
 #: SynthConfig's are mostly shorter than one 25-frame chunk).
@@ -78,8 +90,8 @@ class StreamBenchConfig:
     #: 0 disables the multi-process fabric pass; >= 1 adds a fabric row
     #: served by that many supervised worker processes.
     workers: int = 0
-    #: Arm a deterministic crash fault on worker 0 mid-run, so the
-    #: fabric row measures recovery (restart + journal replay) too.
+    #: Add a fabric row with a deterministic crash fault armed on worker
+    #: 0 mid-run, measuring recovery (restart + journal replay) too.
     chaos: bool = False
     #: Add the registry-backed canary rollout passes (divergent →
     #: rollback, clean → promote); requires ``workers >= 1``.
@@ -138,42 +150,19 @@ class StreamBenchResult:
 
     def to_rows(self) -> List[Dict[str, Any]]:
         """Plain dict rows for JSON archival."""
-        return [
-            {
-                "path": row.path,
-                "wall_s": row.wall_s,
-                "sessions_per_s": row.sessions_per_s,
-                "speedup": row.speedup,
-                "decode_match": row.decode_match,
-                "p50_latency_ms": row.p50_latency_ms,
-                "p95_latency_ms": row.p95_latency_ms,
-                "mean_batch_size": row.mean_batch_size,
-                "restarts": row.restarts,
-                "sessions_rehomed": row.sessions_rehomed,
-                "chunks_shed": row.chunks_shed,
-                "sessions_shed": row.sessions_shed,
-                "crashes_detected": row.crashes_detected,
-                "stalls_detected": row.stalls_detected,
-                "plan_swaps": row.plan_swaps,
-                "canary_decision": row.canary_decision,
-                "canary_agreement": row.canary_agreement,
-            }
-            for row in self.rows
-        ]
+        return [asdict(row) for row in self.rows]
 
 
-def build_stream_workload(config: StreamBenchConfig):
-    """The benchmark workload: ``(plan, features, serving_config)``.
-
-    Shared by :func:`run_stream_bench` and the ``benchmarks/run_bench.py``
-    serving suite, so the recorded ``BENCH_serving.json`` rows measure
-    exactly the workload the ``stream-bench`` CLI reports on.
-    """
-    dataset = make_dataset(config.num_sessions, STREAM_SYNTH, seed=config.seed)
-    features = [example.features for example in dataset.examples]
-    plan = _build_plan(config, config.seed)
-    serving = ServingConfig(min_duration=config.min_duration)
-    return plan, features, serving
+#: Fleet supervision counters copied from ``FleetStats`` onto fabric rows.
+_FLEET_COUNTERS = (
+    "restarts",
+    "sessions_rehomed",
+    "chunks_shed",
+    "sessions_shed",
+    "crashes_detected",
+    "stalls_detected",
+    "plan_swaps",
+)
 
 
 def _build_plan(config: StreamBenchConfig, seed: int):
@@ -189,62 +178,60 @@ def _build_plan(config: StreamBenchConfig, seed: int):
     return compile_model(model, scheme=config.scheme)
 
 
-def _stream_pass(plan, features, config: StreamBenchConfig):
-    """One full streamed workload: round-robin chunks, then finish."""
-    scheduler = StreamScheduler(
-        plan,
-        StreamConfig(
-            max_batch_size=config.max_batch_size,
-            max_wait_frames=config.max_wait_frames,
-            min_duration=config.min_duration,
-        ),
+def _stream_config(config: StreamBenchConfig) -> StreamConfig:
+    return StreamConfig(
+        max_batch_size=config.max_batch_size,
+        max_wait_frames=config.max_wait_frames,
+        min_duration=config.min_duration,
     )
-    sids = [scheduler.open() for _ in features]
-    hypotheses = {sid: [] for sid in sids}
-    longest = max(len(utterance) for utterance in features)
-    for start in range(0, longest, config.chunk_frames):
-        for sid, utterance in zip(sids, features):
-            chunk = utterance[start : start + config.chunk_frames]
-            if len(chunk):
-                scheduler.feed(sid, chunk)
-    for sid in sids:
-        hypotheses[sid].extend(scheduler.finish(sid))
-    return [hypotheses[sid] for sid in sids], scheduler.stats
 
 
-def _fabric_pass(artifact_path, features, config: StreamBenchConfig):
-    """One full workload through the multi-process serving fabric."""
-    from repro.engine.fabric import FabricConfig, FaultConfig, ServingFabric
+def _fabric_config(config: StreamBenchConfig, faults: Optional[FaultConfig]):
+    from repro.engine.fabric import FabricConfig
 
-    faults = None
-    if config.chaos:
-        # Deterministic kill of worker 0 mid-stream; recovery replays
-        # its journaled sessions on the restarted worker.
-        faults = FaultConfig(crash_after_chunks=3, target_worker=0)
-    fabric_config = FabricConfig(
+    return FabricConfig(
         num_workers=config.workers,
-        stream=StreamConfig(
-            max_batch_size=config.max_batch_size,
-            max_wait_frames=config.max_wait_frames,
-            min_duration=config.min_duration,
-        ),
+        stream=_stream_config(config),
         backoff_base_s=0.01,
         rpc_timeout_s=60.0,
         faults=faults,
     )
-    with ServingFabric(artifact_path, fabric_config) as fabric:
+
+
+def _feed_round_robin(server, sids, features, chunk_frames: int, **feed_kwargs):
+    """Feed each open session its utterance in ``chunk_frames`` chunks,
+    round-robin across sessions, then finish every session.
+
+    ``server`` is a :class:`StreamScheduler` or a ``ServingFabric``;
+    returns the hypotheses in ``sids`` order.
+    """
+    longest = max(len(utterance) for utterance in features)
+    for start in range(0, longest, chunk_frames):
+        for sid, utterance in zip(sids, features):
+            chunk = utterance[start : start + chunk_frames]
+            if len(chunk):
+                server.feed(sid, chunk, **feed_kwargs)
+    return [list(server.finish(sid)) for sid in sids]
+
+
+def _stream_pass(plan, features, config: StreamBenchConfig):
+    """One full streamed workload through a single-process scheduler."""
+    scheduler = StreamScheduler(plan, _stream_config(config))
+    sids = [scheduler.open() for _ in features]
+    hypotheses = _feed_round_robin(scheduler, sids, features, config.chunk_frames)
+    return hypotheses, scheduler.stats
+
+
+def _fabric_pass(artifact_path, features, config: StreamBenchConfig, faults):
+    """One full workload through the multi-process serving fabric."""
+    from repro.engine.fabric import ServingFabric
+
+    with ServingFabric(artifact_path, _fabric_config(config, faults)) as fabric:
         sids = [fabric.open() for _ in features]
-        hypotheses = {sid: [] for sid in sids}
-        longest = max(len(utterance) for utterance in features)
-        for start in range(0, longest, config.chunk_frames):
-            for sid, utterance in zip(sids, features):
-                chunk = utterance[start : start + config.chunk_frames]
-                if len(chunk):
-                    fabric.feed(sid, chunk, block=True)
-        for sid in sids:
-            hypotheses[sid].extend(fabric.finish(sid))
-        fleet = fabric.stats()
-    return [hypotheses[sid] for sid in sids], fleet
+        hypotheses = _feed_round_robin(
+            fabric, sids, features, config.chunk_frames, block=True
+        )
+        return hypotheses, fabric.stats()
 
 
 def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
@@ -257,16 +244,7 @@ def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
     scores ``decode_match`` over incumbent sessions (a rolled-back
     divergent candidate's sessions legitimately decode differently).
     """
-    import tempfile
-    import time
-    from pathlib import Path
-
-    from repro.engine.fabric import (
-        CanaryConfig,
-        FabricConfig,
-        FaultConfig,
-        ServingFabric,
-    )
+    from repro.engine.fabric import CanaryConfig, ServingFabric
     from repro.engine.registry import PlanRegistry
 
     incumbent = _build_plan(config, config.seed)
@@ -283,17 +261,6 @@ def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
             if divergent
             else FaultConfig(crash_on_swap=True, target_worker=0)
         )
-    fabric_config = FabricConfig(
-        num_workers=config.workers,
-        stream=StreamConfig(
-            max_batch_size=config.max_batch_size,
-            max_wait_frames=config.max_wait_frames,
-            min_duration=config.min_duration,
-        ),
-        backoff_base_s=0.01,
-        rpc_timeout_s=60.0,
-        faults=faults,
-    )
     with tempfile.TemporaryDirectory(prefix="repro-canary-bench-") as tmp:
         registry = PlanRegistry(Path(tmp) / "registry")
         v1 = registry.publish("stream-bench", incumbent)
@@ -301,7 +268,7 @@ def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
         incumbent_path = str(registry.resolve("stream-bench", "v1").artifact_path)
         start = time.perf_counter()
         with ServingFabric.from_registry(
-            registry, "stream-bench", "v1", fabric_config
+            registry, "stream-bench", "v1", _fabric_config(config, faults)
         ) as fabric:
             fabric.start_canary(
                 "v2",
@@ -316,17 +283,9 @@ def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
             )
             sids = [fabric.open() for _ in features]
             opened_on = {sid: fabric.session_version(sid) for sid in sids}
-            hypotheses = {sid: [] for sid in sids}
-            longest = max(len(utterance) for utterance in features)
-            for chunk_start in range(0, longest, config.chunk_frames):
-                for sid, utterance in zip(sids, features):
-                    chunk = utterance[
-                        chunk_start : chunk_start + config.chunk_frames
-                    ]
-                    if len(chunk):
-                        fabric.feed(sid, chunk, block=True)
-            for sid in sids:
-                hypotheses[sid].extend(fabric.finish(sid))
+            hypotheses = _feed_round_robin(
+                fabric, sids, features, config.chunk_frames, block=True
+            )
             if fabric.canary_report().decision is None:
                 fabric.decide_canary(force=True)
             report = fabric.canary_report()
@@ -337,82 +296,107 @@ def _canary_pass(features, config: StreamBenchConfig, divergent: bool):
         for index, sid in enumerate(sids)
         if opened_on[sid] == incumbent_path
     ]
-    return [hypotheses[sid] for sid in sids], incumbent_sids, fleet, report, wall
+    return hypotheses, incumbent_sids, fleet, report, wall
+
+
+def _path_row(path, wall, offline_s, runs, num_sessions, **extra):
+    """One serving path's row from its per-run ``(decode_match, stats)``.
+
+    ``wall`` is the path's median.  Every run counts toward correctness:
+    ``decode_match`` and, for fabric stats, the fleet counters come from
+    the worst run (lowest match, then fewest restarts), so a chaos row
+    reads recovered only if every run recovered.  Latencies and batch
+    size are medians over the runs.
+    """
+    match, worst = min(
+        runs, key=lambda run: (run[0], getattr(run[1], "restarts", 0))
+    )
+    if hasattr(worst, "restarts"):
+        extra.update({name: getattr(worst, name) for name in _FLEET_COUNTERS})
+    stats = [run_stats for _, run_stats in runs]
+    return StreamBenchRow(
+        path=path,
+        wall_s=wall,
+        sessions_per_s=num_sessions / wall,
+        speedup=offline_s / wall,
+        decode_match=float(match),
+        p50_latency_ms=1e3 * float(np.median([s.p50_latency_s for s in stats])),
+        p95_latency_ms=1e3 * float(np.median([s.p95_latency_s for s in stats])),
+        mean_batch_size=float(np.median([s.mean_batch_size for s in stats])),
+        **extra,
+    )
 
 
 def run_stream_bench(
     config: StreamBenchConfig = StreamBenchConfig(),
 ) -> StreamBenchResult:
-    """Measure offline-batched vs streamed serving on one workload."""
-    plan, features, serving = build_stream_workload(config)
-    offline_time, (offline_hyps, _) = timed_median(
-        lambda: serve_stream(plan, features, serving), config.repeats
-    )
+    """Measure offline-batched vs streamed (and fabric) serving on one
+    workload.
+
+    The timed paths are sampled round-robin, so machine-speed drift
+    cannot bias one side of a speedup ratio; the canary rows are single
+    correctness passes.
+    """
+    dataset = make_dataset(config.num_sessions, STREAM_SYNTH, seed=config.seed)
+    features = [example.features for example in dataset.examples]
+    plan = _build_plan(config, config.seed)
+    serving = ServingConfig(min_duration=config.min_duration)
+    stream_label = f"streaming chunk={config.chunk_frames}"
+    fabric_label = f"fabric workers={config.workers}"
+    passes = {
+        "offline": lambda: serve_stream(plan, features, serving),
+        stream_label: lambda: _stream_pass(plan, features, config),
+    }
+    with tempfile.TemporaryDirectory(prefix="repro-stream-bench-") as tmp:
+        if config.workers >= 1:
+            artifact = Path(tmp) / "model.plan.npz"
+            save_plan(artifact, plan)
+            passes[fabric_label] = lambda: _fabric_pass(
+                artifact, features, config, faults=None
+            )
+            if config.chaos:
+                # Deterministic kill of worker 0 mid-stream; recovery
+                # replays its journaled sessions on the restarted worker.
+                passes[fabric_label + " +chaos"] = lambda: _fabric_pass(
+                    artifact,
+                    features,
+                    config,
+                    faults=FaultConfig(crash_after_chunks=3, target_worker=0),
+                )
+        outputs = {name: [] for name in passes}
+        medians = interleaved_medians(
+            {
+                name: lambda name=name: outputs[name].append(passes[name]())
+                for name in passes
+            },
+            config.repeats,
+        )
+    offline_s = medians.pop("offline")
+    offline_hyps = outputs.pop("offline")[0][0]
+
+    def match(hypotheses, scored=range(len(features))) -> float:
+        """Fraction of the ``scored`` sessions decoding as offline does."""
+        if not scored:
+            return 0.0
+        return sum(hypotheses[i] == offline_hyps[i] for i in scored) / len(scored)
+
     rows = [
         StreamBenchRow(
             path="offline batched",
-            wall_s=offline_time,
-            sessions_per_s=config.num_sessions / offline_time,
+            wall_s=offline_s,
+            sessions_per_s=config.num_sessions / offline_s,
             speedup=1.0,
             decode_match=1.0,
         )
     ]
-    stream_time, (stream_hyps, stats) = timed_median(
-        lambda: _stream_pass(plan, features, config), config.repeats
-    )
-    match = sum(
-        streamed == offline
-        for streamed, offline in zip(stream_hyps, offline_hyps)
-    ) / len(features)
-    rows.append(
-        StreamBenchRow(
-            path=f"streaming chunk={config.chunk_frames}",
-            wall_s=stream_time,
-            sessions_per_s=config.num_sessions / stream_time,
-            speedup=offline_time / stream_time,
-            decode_match=float(match),
-            p50_latency_ms=stats.p50_latency_s * 1e3,
-            p95_latency_ms=stats.p95_latency_s * 1e3,
-            mean_batch_size=stats.mean_batch_size,
-        )
-    )
-    if config.workers >= 1:
-        import tempfile
-        from pathlib import Path
-
-        from repro.engine.artifact import save_plan
-
-        with tempfile.TemporaryDirectory(prefix="repro-stream-bench-") as tmp:
-            artifact = Path(tmp) / "model.plan.npz"
-            save_plan(artifact, plan)
-            fabric_time, (fabric_hyps, fleet) = timed_median(
-                lambda: _fabric_pass(artifact, features, config),
-                config.repeats,
-            )
-        fabric_match = sum(
-            fabric == offline
-            for fabric, offline in zip(fabric_hyps, offline_hyps)
-        ) / len(features)
-        label = f"fabric workers={config.workers}"
-        if config.chaos:
-            label += " +chaos"
+    for name, runs in outputs.items():
         rows.append(
-            StreamBenchRow(
-                path=label,
-                wall_s=fabric_time,
-                sessions_per_s=config.num_sessions / fabric_time,
-                speedup=offline_time / fabric_time,
-                decode_match=float(fabric_match),
-                p50_latency_ms=fleet.p50_latency_s * 1e3,
-                p95_latency_ms=fleet.p95_latency_s * 1e3,
-                mean_batch_size=fleet.mean_batch_size,
-                restarts=fleet.restarts,
-                sessions_rehomed=fleet.sessions_rehomed,
-                chunks_shed=fleet.chunks_shed,
-                sessions_shed=fleet.sessions_shed,
-                crashes_detected=fleet.crashes_detected,
-                stalls_detected=fleet.stalls_detected,
-                plan_swaps=fleet.plan_swaps,
+            _path_row(
+                name,
+                medians[name],
+                offline_s,
+                [(match(hypotheses), stats) for hypotheses, stats in runs],
+                config.num_sessions,
             )
         )
     if config.canary:
@@ -423,17 +407,8 @@ def run_stream_bench(
             hyps, incumbent_sids, fleet, report, wall = _canary_pass(
                 features, config, divergent
             )
-            if divergent:
-                scored = [
-                    (hyps[index], offline_hyps[index])
-                    for index in incumbent_sids
-                ]
-            else:
-                scored = list(zip(hyps, offline_hyps))
-            match = (
-                sum(h == o for h, o in scored) / len(scored)
-                if scored
-                else 0.0
+            decode_match = (
+                match(hyps, incumbent_sids) if divergent else match(hyps)
             )
             label = (
                 f"canary {'divergent' if divergent else 'clean'} "
@@ -442,22 +417,12 @@ def run_stream_bench(
             if config.chaos:
                 label += " +chaos"
             rows.append(
-                StreamBenchRow(
-                    path=label,
-                    wall_s=wall,
-                    sessions_per_s=config.num_sessions / wall,
-                    speedup=offline_time / wall,
-                    decode_match=float(match),
-                    p50_latency_ms=fleet.p50_latency_s * 1e3,
-                    p95_latency_ms=fleet.p95_latency_s * 1e3,
-                    mean_batch_size=fleet.mean_batch_size,
-                    restarts=fleet.restarts,
-                    sessions_rehomed=fleet.sessions_rehomed,
-                    chunks_shed=fleet.chunks_shed,
-                    sessions_shed=fleet.sessions_shed,
-                    crashes_detected=fleet.crashes_detected,
-                    stalls_detected=fleet.stalls_detected,
-                    plan_swaps=fleet.plan_swaps,
+                _path_row(
+                    label,
+                    wall,
+                    offline_s,
+                    [(decode_match, fleet)],
+                    config.num_sessions,
                     canary_decision=report.decision,
                     canary_agreement=report.agreement,
                 )
@@ -466,7 +431,7 @@ def run_stream_bench(
         rows=rows,
         num_sessions=config.num_sessions,
         total_frames=sum(len(utterance) for utterance in features),
-        total_chunks=stats.chunks,
+        total_chunks=outputs[stream_label][-1][1].chunks,
     )
 
 

@@ -140,8 +140,8 @@ def _project_block_columns_loop(
     weight: np.ndarray, grid: BlockGrid, rate: float
 ) -> PruningMask:
     """Seed per-region loop implementation of
-    :func:`project_block_columns`, retained as ground truth for the
-    equivalence tests and the benchmark baseline."""
+    :func:`project_block_columns`, retained as ground truth for its
+    hypothesis equivalence test."""
     weight = grid.validate_matrix(check_2d(weight, "weight"))
     mask = np.zeros(weight.shape, dtype=bool)
     for region in grid.regions():

@@ -4,6 +4,8 @@ A baseline file that is unreadable, malformed, or missing a row must
 fail with a message naming the file and the problem — never with a
 KeyError/JSONDecodeError traceback — and a *current* row no baseline
 knows about must be reported as unrecorded instead of silently passing.
+The serving suite is also run once at smoke scale, so a harness change
+that drops or renames a recorded BENCH_serving.json row fails here.
 """
 
 import importlib.util
@@ -93,3 +95,21 @@ class TestCheckAgainst:
         recorded = row(backend="reference", median_s=0.01, speedup=0.35)
         slow_host = row(backend="reference", median_s=1.0, speedup=0.34)
         assert run_bench.check_against([recorded], [slow_host], 1.5) == []
+
+
+class TestServingSuite:
+    def test_one_harness_call_yields_the_recorded_rows(self):
+        # bench_streaming maps one run_stream_bench call onto the
+        # BENCH_serving.json rows: the same (op, size, backend) keys, and
+        # a chaos fabric row that reads recovered.
+        recorded = run_bench.load_baseline_rows(
+            run_bench.REPO_ROOT / "BENCH_serving.json"
+        )
+        rows = run_bench.bench_streaming(1)
+        assert len(rows) == len(recorded)
+        assert set(run_bench.rows_by_key(rows)) == set(
+            run_bench.rows_by_key(recorded)
+        )
+        recovery = next(r for r in rows if r["op"] == "fabric_recovery")
+        assert recovery["speedup_vs_baseline"] == 1.0
+        assert recovery["restarts"] >= 1

@@ -423,25 +423,3 @@ class TestServing:
         assert stats.batch_frames == 40 and stats.real_frames == 30
         assert stats.padding_overhead == pytest.approx(0.25)
         assert stats.mean_batch_size == 2.0
-
-
-class TestServeBenchHarness:
-    def test_runs_and_packing_row_matches_eager(self):
-        from repro.eval.serve_bench import (
-            ServeBenchConfig,
-            render_serve_bench,
-            run_serve_bench,
-        )
-
-        result = run_serve_bench(
-            ServeBenchConfig(
-                num_utterances=6, hidden_size=16, repeats=1, schemes=(None,)
-            )
-        )
-        assert len(result.rows) == 2
-        packed = result.rows[1]
-        assert packed.decode_match == 1.0
-        assert packed.weight_bytes is not None
-        rendered = render_serve_bench(result)
-        assert "eager per-utterance" in rendered and "engine[packed]" in rendered
-        assert len(result.to_rows()) == 2

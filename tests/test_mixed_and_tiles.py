@@ -280,7 +280,9 @@ class TestJointTuneWithTiles:
 
         times = iter([10.0, 5.0, 1.0, 0.5, 0.25, 0.125, 0.0625])
         monkeypatch.setattr(
-            autotune, "_median_seconds", lambda fn, repeats: next(times, 1.0)
+            autotune,
+            "timed_median",
+            lambda fn, repeats: (next(times, 1.0), None),
         )
         sample = self.sample()
         result = tune_plan(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.pruning.projections import (
     _project_bank_balanced_loop,
+    _project_block_columns_loop,
     project_bank_balanced,
     project_block_columns,
     project_columns,
@@ -199,6 +200,35 @@ def test_property_bank_balanced_matches_loop(
     np.testing.assert_array_equal(
         project_bank_balanced(w, bank_size, rate).keep,
         _project_bank_balanced_loop(w, bank_size, rate).keep,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 20),
+    strips=st.integers(1, 5),
+    blocks=st.integers(1, 6),
+    rate=st.floats(1.0, 8.0),
+    integer_valued=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+def test_property_block_columns_matches_loop(
+    rows, cols, strips, blocks, rate, integer_valued, seed
+):
+    """The reduceat + batched top-k projection equals the per-region loop
+    mask exactly, on ragged grids (strip and block sizes differing by
+    one) and with the loop's lowest-index tie-breaking (integer weights
+    from a small range make tied column norms common)."""
+    grid = BlockGrid(rows, cols, min(strips, rows), min(blocks, cols))
+    rng = np.random.default_rng(seed)
+    if integer_valued:
+        w = rng.integers(-2, 3, size=(rows, cols)).astype(np.float64)
+    else:
+        w = rng.standard_normal((rows, cols))
+    np.testing.assert_array_equal(
+        project_block_columns(w, grid, rate).keep,
+        _project_block_columns_loop(w, grid, rate).keep,
     )
 
 
